@@ -1,6 +1,6 @@
 # Convenience targets — everything here also runs through plain go commands.
 
-.PHONY: test race chaos chaos-smoke bench6 bench7 bench8
+.PHONY: test race chaos chaos-smoke bench bench6 bench7 bench8
 
 test:
 	go build ./... && go test ./...
@@ -19,6 +19,17 @@ chaos:
 CHAOS_SMOKE_TIME ?= 30s
 chaos-smoke:
 	CHAOS_SMOKE_TIME=$(CHAOS_SMOKE_TIME) go test ./internal/reasoner -run ChaosRandomizedSchedule -count=1 -v
+
+# bench runs the end-to-end benchmark (BENCHMARK.json, perfbench/) on one
+# workload — fig9_tumbling, fig7_sliding_dpr or serve_mixed_tenants — and
+# prints one JSON result line; TRACE=1 adds the per-layer breakdown. It
+# builds from this checkout into .bench_build/.
+WORKLOAD ?= fig9_tumbling
+SEED ?= 1
+SECONDS ?= 10
+TRACE ?= 0
+bench:
+	bash perfbench/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds $(SECONDS) --trace $(TRACE)
 
 # bench6 snapshots the wire-path perf trajectory (critical-path ms, request/
 # response bytes per window, rounds, pipeline depth) for Fig7 and Fig7Residual

@@ -121,17 +121,19 @@ func WithTransportTLS(cfg *tls.Config) Option {
 
 // DistributedEngine is the sharded parallel reasoner DPR: the partitioning
 // and combining handlers of ParallelEngine with the k reasoner copies
-// running on remote workers (one session per partition, assigned
-// round-robin over the worker addresses). Windows ship as plain triples;
+// running on remote workers. Partitions are assigned round-robin over the
+// worker addresses, and each worker gets one session hosting all of its
+// partitions, which it combines before answering. Windows ship as
+// dictionary-coded deltas against the previously shipped sub-windows;
 // answer sets come back in a portable wire form, re-interned through a
 // cached per-worker symbol dictionary so steady-state windows ship only
 // symbols the coordinator has never seen.
 //
 // Every partition keeps a local fallback reasoner: a worker that is down,
 // straggling, or desynchronized costs latency for that window, never
-// correctness. With WithMemoryBudget, workers bound their interning tables
-// by rotation (each session owns a private table) and the coordinator
-// applies the same budget to its answer table.
+// correctness. With WithMemoryBudget and/or WithMemoryBudgetBytes, workers
+// bound their interning tables by rotation (each session owns a private
+// table) and the coordinator applies the same bounds to its own table.
 //
 // A DistributedEngine must not process windows concurrently (same contract
 // as Engine and ParallelEngine). Close it when done to release the worker

@@ -279,13 +279,14 @@ type pendingLeg struct {
 // back worker-combined in portable wire form, re-interned into the
 // coordinator's table through a cached per-worker dictionary.
 //
-// Every partition also keeps a local fallback reasoner: when a session is
-// down, times out (straggler), or desynchronizes, its partitions are
-// processed in-process for that window — answers are identical either way,
-// only latency differs — and the session is redialed behind the scenes.
-// Workers run with the configured MemoryBudget (each session owns a
-// private, rotating table); the coordinator applies the same budget to its
-// own answer table.
+// The coordinator keeps a local fallback group — one reasoner per partition
+// on its own table: when a session is down, times out (straggler), or
+// desynchronizes, its partitions are processed in-process for that window —
+// answers are identical either way, only latency differs — and the session
+// is redialed behind the scenes. Workers run with the configured memory
+// budgets (each session owns a private, rotating table); the coordinator
+// applies the same budgets to its own table, which holds the decoded
+// answers and the fallback group's state.
 //
 // Beyond the classic Process/ProcessDelta lockstep, DPR exposes the
 // pipelined pair Submit/Collect: up to MaxInFlight windows may be in
@@ -294,26 +295,15 @@ type pendingLeg struct {
 type DPR struct {
 	part Partitioner
 	opts DPROptions
-	// cfg is the (post-construction) local-reasoner config: the rebalancer
-	// rebuilds dpr.locals from it when the partition count changes. Its
-	// GroundOpts.Intern is dpr.tab and its budgets are zeroed (rotation is
-	// coordinated at DPR level).
-	cfg Config
-
-	tab      *intern.Table
-	locals   []*R
+	// local is the fallback group on the coordinator's table, which also
+	// holds the decoded answers; the group owns the coordinator budget. The
+	// rebalancer resizes it when the partition count changes.
+	local    *group
 	sessions []*dprSession
 	pending  []*pendingWindow
 
-	// MaxCombinations caps the answer-set cross product (see PR). It is
-	// also shipped to workers (at dial time) for the worker-side combine.
-	MaxCombinations int
-
-	budget      int
-	budgetBytes int64
-	liveBuf     []intern.AtomID
-	hello       transport.Hello
-	diffBuf     map[rdf.Triple]int
+	hello   transport.Hello
+	diffBuf map[rdf.Triple]int
 
 	rounds, windows       int64
 	fullParts, deltaParts int64
@@ -355,24 +345,16 @@ func NewDPR(cfg Config, part Partitioner, opts DPROptions) (*DPR, error) {
 		return nil, fmt.Errorf("reasoner: partitioner yields %d partitions", n)
 	}
 
-	dpr := &DPR{part: part, opts: opts, budget: cfg.MemoryBudget, budgetBytes: cfg.MemoryBudgetBytes}
 	// The coordinator owns a private table for decoded answers and local
-	// fallbacks; budget rotation is coordinated here (workers rotate their
-	// own tables independently).
+	// fallbacks (workers rotate their own tables independently).
 	if cfg.GroundOpts.Intern == nil {
 		cfg.GroundOpts.Intern = intern.NewTable()
 	}
-	dpr.tab = cfg.GroundOpts.Intern
-	cfg.MemoryBudget = 0
-	cfg.MemoryBudgetBytes = 0
-	dpr.cfg = cfg
-	for i := 0; i < n; i++ {
-		r, err := NewR(cfg)
-		if err != nil {
-			return nil, err
-		}
-		dpr.locals = append(dpr.locals, r)
+	local, err := newGroup(cfg, n)
+	if err != nil {
+		return nil, err
 	}
+	dpr := &DPR{part: part, opts: opts, local: local}
 	dpr.hello = transport.Hello{
 		Program:           opts.ProgramSource,
 		Inpre:             cfg.Inpre,
@@ -383,8 +365,8 @@ func NewDPR(cfg Config, part Partitioner, opts DPROptions) (*DPR, error) {
 		NaivePropagation:  cfg.SolveOpts.NaivePropagation,
 		CDNL:              cfg.SolveOpts.CDNL,
 		MaxAtoms:          cfg.GroundOpts.MaxAtoms,
-		MemoryBudget:      dpr.budget,
-		MemoryBudgetBytes: dpr.budgetBytes,
+		MemoryBudget:      cfg.MemoryBudget,
+		MemoryBudgetBytes: cfg.MemoryBudgetBytes,
 	}
 
 	// One session per worker; partitions are assigned round-robin
@@ -430,7 +412,6 @@ func (dpr *DPR) dial(ps *dprSession) error {
 	ps.retire()
 	hello := dpr.hello
 	hello.Partitions = len(ps.parts)
-	hello.MaxCombinations = dpr.MaxCombinations
 	c, err := transport.Dial(ps.addr, &hello, transport.ClientOptions{
 		DialTimeout: dpr.opts.DialTimeout,
 		MaxFrame:    dpr.opts.MaxFrame,
@@ -442,7 +423,7 @@ func (dpr *DPR) dial(ps *dprSession) error {
 		return err
 	}
 	ps.client = c
-	ps.dec = intern.NewWireDecoder(dpr.tab)
+	ps.dec = intern.NewWireDecoder(dpr.local.tab)
 	ps.reqEnc = intern.NewWireEncoder()
 	ps.base = make([][]rdf.Triple, len(ps.parts))
 	ps.baseValid = false
@@ -454,7 +435,7 @@ func (dpr *DPR) dial(ps *dprSession) error {
 }
 
 // NumPartitions returns the number of partitions.
-func (dpr *DPR) NumPartitions() int { return len(dpr.locals) }
+func (dpr *DPR) NumPartitions() int { return len(dpr.local.rs) }
 
 // MaxInFlight returns the configured pipeline depth (≥ 1).
 func (dpr *DPR) MaxInFlight() int {
@@ -706,21 +687,13 @@ func (dpr *DPR) Collect() (*Output, error) {
 	}
 	pw := dpr.pending[0]
 	dpr.pending = dpr.pending[1:]
-	if dpr.budget > 0 {
-		// Decoding and local fallback intern into the coordinator table
-		// at collect time, so the epoch opens here.
-		dpr.tab.AdvanceEpoch()
-	}
-	out := &Output{Skipped: pw.skipped}
-	out.Latency.Partition = pw.partitionLat
-	for _, p := range pw.parts {
-		out.PartitionSizes = append(out.PartitionSizes, len(p))
-		out.RoutedItems += len(p)
-	}
+	// Decoding and local fallback intern into the coordinator table at
+	// collect time, so the epoch opens here.
+	dpr.local.beginWindow()
 
 	// Per-partition load rows for this window: every leg fills the rows of
 	// its own (disjoint) partitions, so the slice needs no locking.
-	loads := make([]PartitionLoad, len(dpr.locals))
+	loads := make([]PartitionLoad, len(dpr.local.rs))
 	results := make([]*Output, len(dpr.sessions))
 	errs := make([]error, len(dpr.sessions))
 	var wg sync.WaitGroup
@@ -744,68 +717,23 @@ func (dpr *DPR) Collect() (*Output, error) {
 	dpr.lastLoads = loads
 	dpr.lastWindow = pw.window
 
-	// Drop the legs of partition-less sessions (idle workers contribute
-	// nothing to the window).
-	legs := results[:0]
-	for _, res := range results {
-		if res != nil {
-			legs = append(legs, res)
-		}
-	}
-	results = legs
+	// Combine across workers; idle workers contribute no leg. Each leg is
+	// already combined over its own partitions (unions are associative, so
+	// the nesting is equivalent to PR's flat combine), and its combine lives
+	// in its Latency.Total, so Latency.Combine is the cross-leg combine only.
+	legs := slices.DeleteFunc(results, func(o *Output) bool { return o == nil })
+	out := merge(legs)
+	out.route(pw.parts, pw.skipped, pw.partitionLat)
 
-	out.Incremental = len(results) > 0
-	// The aggregate is on the fast path only when every leg was.
-	out.SolveStats.FastPath = len(results) > 0
-	var maxTotal time.Duration
-	for _, res := range results {
-		if !res.Incremental {
-			out.Incremental = false
-		}
-		if !res.SolveStats.FastPath {
-			out.SolveStats.FastPath = false
-		}
-		if res.Latency.Total > maxTotal {
-			maxTotal = res.Latency.Total
-		}
-		if res.Latency.Convert > out.Latency.Convert {
-			out.Latency.Convert = res.Latency.Convert
-		}
-		if res.Latency.Ground > out.Latency.Ground {
-			out.Latency.Ground = res.Latency.Ground
-		}
-		if res.Latency.Solve > out.Latency.Solve {
-			out.Latency.Solve = res.Latency.Solve
-		}
-		out.GroundStats.Atoms += res.GroundStats.Atoms
-		out.GroundStats.Rules += res.GroundStats.Rules
-		out.GroundStats.CertainFacts += res.GroundStats.CertainFacts
-		out.GroundStats.Iterations += res.GroundStats.Iterations
-		out.SolveStats.Add(res.SolveStats)
-	}
-
-	// Combine across workers (each leg is already combined over its own
-	// partitions — unions are associative, so the nesting is equivalent to
-	// PR's flat combine).
+	// Coordinated rotation of the coordinator table, mirroring PR; the
+	// decoders' cached local IDs go stale with it (their mirrored
+	// dictionaries re-intern on demand, nothing is re-shipped).
 	t0 := time.Now()
-	perLeg := make([][]*solve.AnswerSet, len(results))
-	for i, res := range results {
-		perLeg[i] = res.Answers
+	if dpr.local.endWindow(out.Answers) {
+		dpr.invalidateDecoders()
 	}
-	out.Answers = Combine(perLeg, dpr.maxComb())
-	// Cross-worker combine only: each leg's own combine already lives in
-	// its Latency.Total (the worker folds CombineNS into TotalNS, and the
-	// fallback leg adds its combine to Total) — adding the max leg combine
-	// here again would double-count it on the critical path.
-	out.Latency.Combine = time.Since(t0)
-
-	// Coordinated rotation of the coordinator's answer table, mirroring PR.
-	t0 = time.Now()
-	dpr.maybeRotate(out)
-	rotate := time.Since(t0)
-
+	out.Latency.CriticalPath = out.Latency.Partition + out.Latency.Total + time.Since(t0)
 	out.Latency.Total = time.Since(pw.start)
-	out.Latency.CriticalPath = out.Latency.Partition + maxTotal + out.Latency.Combine + rotate
 
 	// With the pipeline drained this is a between-windows point: let the
 	// rebalancer observe the window's loads and, if skew sustained, adapt
@@ -816,18 +744,12 @@ func (dpr *DPR) Collect() (*Output, error) {
 	return out, nil
 }
 
-func (dpr *DPR) maxComb() int {
-	if dpr.MaxCombinations > 0 {
-		return dpr.MaxCombinations
-	}
-	return DefaultMaxCombinations
-}
-
 // collectLeg finishes one session's leg of a window: await and decode the
 // remote response when the request went out on the still-live client, or
-// reason over the leg's partitions locally. Either way it fills the leg's
-// rows of the per-partition load slice — a partition's items and cp-ms are
-// attributed exactly once per window, to whichever side actually served it.
+// reason over the leg's partitions on the local fallback group. Either way
+// it fills the leg's rows of the per-partition load slice — a partition's
+// items and cp-ms are attributed exactly once per window, to whichever side
+// actually served it.
 func (dpr *DPR) collectLeg(ps *dprSession, leg *pendingLeg, pw *pendingWindow, loads []PartitionLoad) (*Output, error) {
 	if leg.submitted && ps.client != nil && ps.client == leg.client && !ps.client.Broken() {
 		out, err, usable := dpr.awaitRemote(ps, pw, loads)
@@ -835,28 +757,16 @@ func (dpr *DPR) collectLeg(ps *dprSession, leg *pendingLeg, pw *pendingWindow, l
 			return out, err
 		}
 	}
-	// Local fallback, partitions in parallel like the worker would run
-	// them; answers are identical either way.
+	// Local fallback, aggregated like a worker session would; answers are
+	// identical either way.
 	ps.local += int64(len(ps.parts))
-	outs := make([]*Output, len(ps.parts))
-	errs := make([]error, len(ps.parts))
-	var wg sync.WaitGroup
-	for j, gi := range ps.parts {
-		wg.Add(1)
-		go func(j, gi int) {
-			defer wg.Done()
-			if pw.scratch {
-				outs[j], errs[j] = dpr.locals[gi].Process(pw.parts[gi])
-			} else {
-				outs[j], errs[j] = dpr.locals[gi].ProcessAuto(pw.parts[gi])
-			}
-		}(j, gi)
+	fn := autoStep
+	if pw.scratch {
+		fn = scratchStep
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	outs, err := dpr.local.run(pw.parts, ps.parts, fn)
+	if err != nil {
+		return nil, err
 	}
 	for j, gi := range ps.parts {
 		loads[gi] = PartitionLoad{
@@ -866,7 +776,7 @@ func (dpr *DPR) collectLeg(ps *dprSession, leg *pendingLeg, pw *pendingWindow, l
 			CP:        outs[j].Latency.Total,
 		}
 	}
-	return dpr.combineLeg(outs), nil
+	return merge(outs), nil
 }
 
 // awaitRemote receives and decodes one session response. usable=false means
@@ -907,7 +817,7 @@ func (dpr *DPR) awaitRemote(ps *dprSession, pw *pendingWindow, loads []Partition
 			ps.brk.failure()
 			return nil, nil, false
 		}
-		answers[j] = solve.FromIDs(dpr.tab, ids)
+		answers[j] = solve.FromIDs(dpr.local.tab, ids)
 	}
 
 	ps.remote += int64(len(ps.parts))
@@ -949,99 +859,34 @@ func (dpr *DPR) awaitRemote(ps *dprSession, pw *pendingWindow, loads []Partition
 	return out, nil, true
 }
 
-// combineLeg aggregates a fallback leg's per-partition outputs the way a
-// worker session would: latency maxima, work sums, fast-path ANDs, and one
-// combined answer list.
-func (dpr *DPR) combineLeg(outs []*Output) *Output {
-	leg := &Output{Incremental: true}
-	leg.SolveStats.FastPath = true
-	for _, out := range outs {
-		if !out.Incremental {
-			leg.Incremental = false
-		}
-		if !out.SolveStats.FastPath {
-			leg.SolveStats.FastPath = false
-		}
-		if out.Latency.Convert > leg.Latency.Convert {
-			leg.Latency.Convert = out.Latency.Convert
-		}
-		if out.Latency.Ground > leg.Latency.Ground {
-			leg.Latency.Ground = out.Latency.Ground
-		}
-		if out.Latency.Solve > leg.Latency.Solve {
-			leg.Latency.Solve = out.Latency.Solve
-		}
-		if out.Latency.Total > leg.Latency.Total {
-			leg.Latency.Total = out.Latency.Total
-		}
-		leg.GroundStats.Atoms += out.GroundStats.Atoms
-		leg.GroundStats.Rules += out.GroundStats.Rules
-		leg.GroundStats.CertainFacts += out.GroundStats.CertainFacts
-		leg.GroundStats.Iterations += out.GroundStats.Iterations
-		leg.SolveStats.Add(out.SolveStats)
-		leg.Skipped += out.Skipped
-	}
-	t0 := time.Now()
-	perPartition := make([][]*solve.AnswerSet, len(outs))
-	for i, out := range outs {
-		perPartition[i] = out.Answers
-	}
-	leg.Answers = Combine(perPartition, dpr.maxComb())
-	leg.Latency.Combine = time.Since(t0)
-	leg.Latency.Total += leg.Latency.Combine
-	return leg
-}
-
-// maybeRotate applies the coordinator-side budget to the answer table after
-// a window, mirroring PR.maybeRotate. Live state: the local fallback
-// reasoners' grounder state plus the window's answers; the per-session
-// decoder caches are invalidated (their mirrored dictionaries re-intern on
-// demand, nothing is re-shipped).
-func (dpr *DPR) maybeRotate(out *Output) {
-	if dpr.budget <= 0 {
-		return
-	}
-	if dpr.tab.NumAtoms() > dpr.budget {
-		_ = dpr.rotateWith(out.Answers)
-	}
-	materializeAnswers(out.Answers)
-}
-
-// Rotate compacts the coordinator's answer table immediately, regardless of
+// Rotate compacts the coordinator's table immediately, regardless of
 // budget — the manual hook, symmetric with R.Rotate/PR.Rotate. Call it
 // between windows only (no windows in flight).
 func (dpr *DPR) Rotate() error {
-	dpr.tab.AdvanceEpoch()
-	return dpr.rotateWith(nil)
-}
-
-func (dpr *DPR) rotateWith(answers []*solve.AnswerSet) error {
-	live := dpr.liveBuf[:0]
-	for _, r := range dpr.locals {
-		live = r.appendLive(live)
-	}
-	live = appendAnswerIDs(live, answers, dpr.tab)
-	rm, err := dpr.tab.Rotate(live)
-	dpr.liveBuf = live[:0]
-	if err != nil {
+	if err := dpr.local.rotateNow(); err != nil {
 		return err
 	}
-	for _, r := range dpr.locals {
-		r.applyRemap(rm)
-	}
+	dpr.invalidateDecoders()
+	return nil
+}
+
+// invalidateDecoders drops the per-session decoders' cached coordinator
+// IDs after a rotation of the coordinator table.
+func (dpr *DPR) invalidateDecoders() {
 	for _, ps := range dpr.sessions {
 		if ps.dec != nil {
 			ps.dec.InvalidateLocal()
 		}
 	}
-	return remapAnswers(answers, rm, dpr.tab)
 }
 
 // Stats returns the coordinator's memory metrics with the transport metrics
 // attached (MemoryStats.Transport is non-nil only for distributed engines).
 func (dpr *DPR) Stats() MemoryStats {
 	ts := dpr.TransportStats()
-	return MemoryStats{Budget: dpr.budget, Table: dpr.tab.Stats(), Transport: &ts}
+	st := dpr.local.stats()
+	st.Transport = &ts
+	return st
 }
 
 // TransportStats aggregates the wire metrics across all worker sessions,
@@ -1229,7 +1074,7 @@ func assignLPT(weights []float64, k int) []int {
 
 // applyLayout installs a partition→session assignment between windows. When
 // the partitioner's partition count changed (a split), the local fallback
-// reasoners are rebuilt against the shared coordinator table first. Sessions
+// group is resized on the shared coordinator table first. Sessions
 // whose hosted-partition list changes are retired: the next window redials
 // them with the new partition count, ships full sub-windows, and replays the
 // request dictionary — the PR 4/6 session machinery, no new wire protocol.
@@ -1248,16 +1093,10 @@ func (dpr *DPR) applyLayout(assign []int) error {
 		}
 		newParts[si] = append(newParts[si], p)
 	}
-	if n != len(dpr.locals) {
-		locals := make([]*R, 0, n)
-		for i := 0; i < n; i++ {
-			r, err := NewR(dpr.cfg)
-			if err != nil {
-				return err
-			}
-			locals = append(locals, r)
+	if n != len(dpr.local.rs) {
+		if err := dpr.local.resize(n); err != nil {
+			return err
 		}
-		dpr.locals = locals
 	}
 	for si, ps := range dpr.sessions {
 		if slices.Equal(ps.parts, newParts[si]) {

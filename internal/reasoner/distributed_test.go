@@ -84,7 +84,7 @@ func runDistributedDifferential(t *testing.T, label string, dpr *DPR, prOracle *
 // in-process PR and to the monolithic R on the progen harness for every
 // window — including with memory budgets and rotation active on the
 // workers (the budgeted variants run fresh-constant streams so worker
-// tables actually rotate).
+// tables actually rotate) and on the coordinator, under either budget knob.
 func TestDifferentialDistributedVsLocal(t *testing.T) {
 	type winCfg struct{ size, step int }
 	windows := []winCfg{
@@ -92,17 +92,20 @@ func TestDifferentialDistributedVsLocal(t *testing.T) {
 		{20, 20}, // tumbling degenerate
 	}
 	programs := []struct {
-		name   string
-		cfg    progen.Config
-		budget int
+		name        string
+		cfg         progen.Config
+		budget      int
+		budgetBytes int64
 	}{
-		{"flat", progen.Config{Derived: 3}, 0},
-		{"negation-heavy", progen.Config{Derived: 5, UnaryInputs: 2, BinaryInputs: 2}, 0},
-		{"recursive", progen.Config{Derived: 3, Recursion: true, Consts: 4}, 0},
-		{"constraints", progen.Config{Derived: 4, Constraints: true}, 0},
-		{"ineligible-fallback", progen.Config{Derived: 3, Ineligible: true}, 0},
-		{"flat-fresh-budgeted", progen.Config{Derived: 3, Fresh: 0.6}, 96},
-		{"recursive-fresh-budgeted", progen.Config{Derived: 3, Recursion: true, Consts: 4, Fresh: 0.4}, 96},
+		{"flat", progen.Config{Derived: 3}, 0, 0},
+		{"negation-heavy", progen.Config{Derived: 5, UnaryInputs: 2, BinaryInputs: 2}, 0, 0},
+		{"recursive", progen.Config{Derived: 3, Recursion: true, Consts: 4}, 0, 0},
+		{"constraints", progen.Config{Derived: 4, Constraints: true}, 0, 0},
+		{"ineligible-fallback", progen.Config{Derived: 3, Ineligible: true}, 0, 0},
+		{"flat-fresh-budgeted", progen.Config{Derived: 3, Fresh: 0.6}, 96, 0},
+		{"recursive-fresh-budgeted", progen.Config{Derived: 3, Recursion: true, Consts: 4, Fresh: 0.4}, 96, 0},
+		// The byte knob alone: the coordinator must rotate under it too.
+		{"flat-fresh-bytes-budgeted", progen.Config{Derived: 3, BinaryInputs: 2, Fresh: 0.6}, 0, 4096},
 	}
 	workers := startWorkers(t, 2)
 	for pi, pc := range programs {
@@ -115,8 +118,9 @@ func TestDifferentialDistributedVsLocal(t *testing.T) {
 				t.Fatalf("generated program does not parse: %v\n%s", err, gp.Src)
 			}
 			cfg := Config{Program: prog, Inpre: gp.Inpre, Arities: dfp.Arities(gp.Arities)}
+			budgeted := pc.budget > 0 || pc.budgetBytes > 0
 			var triples []rdf.Triple
-			if pc.budget > 0 {
+			if budgeted {
 				seq := 0
 				triples = gp.StreamFresh(rnd, pc.cfg, 160, &seq)
 			} else {
@@ -135,6 +139,7 @@ func TestDifferentialDistributedVsLocal(t *testing.T) {
 				}
 				dprCfg := cfg
 				dprCfg.MemoryBudget = pc.budget
+				dprCfg.MemoryBudgetBytes = pc.budgetBytes
 				dpr, err := NewDPR(dprCfg, NewPlanPartitioner(analysis.Plan), testDPROptions(gp.Src, workers))
 				if err != nil {
 					t.Fatalf("NewDPR: %v", err)
@@ -157,8 +162,17 @@ func TestDifferentialDistributedVsLocal(t *testing.T) {
 				if ts.LocalFallbacks > 0 {
 					t.Errorf("%s: %d unexpected local fallbacks with healthy workers", label, ts.LocalFallbacks)
 				}
-				if pc.budget > 0 && ts.WorkerRotations == 0 {
-					t.Errorf("%s: fresh-constant stream with budget %d never rotated a worker table", label, pc.budget)
+				if budgeted && ts.WorkerRotations == 0 {
+					t.Errorf("%s: fresh-constant stream with budget %d/%dB never rotated a worker table", label, pc.budget, pc.budgetBytes)
+				}
+				if st := dpr.Stats(); budgeted {
+					if st.Table.Rotations == 0 {
+						t.Errorf("%s: fresh-constant stream with budget %d/%dB never rotated the coordinator table (%d atoms, %d bytes)",
+							label, pc.budget, pc.budgetBytes, st.Table.Atoms, st.Table.Bytes)
+					}
+					if st.Budget != pc.budget || st.BudgetBytes != pc.budgetBytes {
+						t.Errorf("%s: Stats reports budget %d/%dB, configured %d/%dB", label, st.Budget, st.BudgetBytes, pc.budget, pc.budgetBytes)
+					}
 				}
 				dpr.Close()
 			}

@@ -28,15 +28,17 @@
 //
 // # Memory
 //
-// With Config.MemoryBudget set, a reasoner owns a private interning table
-// and rotates it between windows when the budget is exceeded (memory.go);
-// PR coordinates one rotation across its k partition reasoners, and DPR's
-// workers rotate their own tables independently while the coordinator
-// budgets its answer table. Stats surfaces the table metrics, plus the
-// transport metrics (bytes shipped, dictionary hit rate, fallbacks) for
-// DPR.
+// With Config.MemoryBudget or MemoryBudgetBytes set, a reasoner owns a
+// private interning table and rotates it between windows when a bound is
+// exceeded (memory.go). The k copies of PR, of a DPR worker session, and of
+// DPR's local fallback are each one group on a shared table (group.go),
+// which rotates once for all of them; DPR's workers rotate their own tables
+// independently while the coordinator budgets its own. Stats surfaces the
+// table metrics, plus the transport metrics (bytes shipped, dictionary hit
+// rate, fallbacks) for DPR.
 //
 // The worker side of DPR lives in worker.go: WorkerHandler builds one
-// session (a full R plus a wire encoder) per coordinator connection, so a
-// single worker process can serve many coordinators and programs at once.
+// session (a group of R plus the wire dictionaries) per coordinator
+// connection, so a single worker process can serve many coordinators and
+// programs at once.
 package reasoner

@@ -2,15 +2,16 @@
 // interning-table rotation, and the remapping of every piece of
 // cross-window reasoner state that holds interned IDs.
 //
-// A reasoner with Config.MemoryBudget > 0 owns a private interning table
-// (NewR/NewPR arrange that). Each window advances the table's epoch; after
-// the window is processed, the table is rotated when its atom count exceeds
-// the budget. The live set passed to intern.Table.Rotate is everything the
-// reasoner still references: the grounder's maintained stores and program
-// facts, the fact-multiset reference counts of the incremental path, and the
-// answer sets of the output about to be returned (so callers keep valid
-// IDs). PR coordinates a single rotation for its k partition reasoners —
-// they share one table, so rotation may only run after all have quiesced.
+// A reasoner with a memory budget (Config.MemoryBudget or
+// MemoryBudgetBytes) owns a private interning table (NewR/newGroup arrange
+// that). Each window advances the table's epoch; after the window is
+// processed, the table is rotated when it exceeds either bound. The live set
+// passed to intern.Table.Rotate is everything the reasoners on the table
+// still reference: the grounder's maintained stores and program facts, the
+// fact-multiset reference counts of the incremental path, and the answer
+// sets of the output about to be returned (so callers keep valid IDs). A
+// group of copies sharing one table (PR, DPR's fallback legs, a worker
+// session) rotates once for all of them, after all have quiesced.
 
 package reasoner
 
@@ -41,67 +42,65 @@ type MemoryStats struct {
 }
 
 // Stats returns the reasoner's memory metrics.
-func (r *R) Stats() MemoryStats {
-	return MemoryStats{Budget: r.cfg.MemoryBudget, BudgetBytes: r.cfg.MemoryBudgetBytes, Table: r.tab.Stats()}
-}
+func (r *R) Stats() MemoryStats { return r.cfg.budget().stats(r.tab) }
 
 // Stats returns the parallel reasoner's memory metrics. All partition
 // reasoners share one table, so a single snapshot describes them all.
-func (pr *PR) Stats() MemoryStats {
-	return MemoryStats{Budget: pr.budget, BudgetBytes: pr.budgetBytes, Table: pr.reasoners[0].tab.Stats()}
+func (pr *PR) Stats() MemoryStats { return pr.g.stats() }
+
+// budget is the memory bound of one interning table: a cap on its entries,
+// on its approximate retained bytes, or both. The zero value is unbounded.
+type budget struct {
+	entries int
+	bytes   int64
+}
+
+func (c *Config) budget() budget { return budget{c.MemoryBudget, c.MemoryBudgetBytes} }
+
+func (b budget) set() bool { return b.entries > 0 || b.bytes > 0 }
+
+func (b budget) stats(tab *intern.Table) MemoryStats {
+	return MemoryStats{Budget: b.entries, BudgetBytes: b.bytes, Table: tab.Stats()}
 }
 
 // overBudget reports whether a table exceeds either configured bound — the
 // entry-count knob, the byte knob, or both.
-func overBudget(tab *intern.Table, entries int, bytes int64) bool {
-	if entries > 0 && tab.NumAtoms() > entries {
+func (b budget) overBudget(tab *intern.Table) bool {
+	if b.entries > 0 && tab.NumAtoms() > b.entries {
 		return true
 	}
-	return bytes > 0 && tab.ApproxBytes() > bytes
+	return b.bytes > 0 && tab.ApproxBytes() > b.bytes
 }
 
-// beginWindow opens a new table epoch for a budgeted reasoner, so that
-// "touched in the current epoch" coincides with "referenced by this window".
-func (r *R) beginWindow() {
-	if r.cfg.budgeted() {
-		r.tab.AdvanceEpoch()
+// beginWindow opens a new table epoch under a budget, so that "touched in
+// the current epoch" coincides with "referenced by this window".
+func (b budget) beginWindow(tab *intern.Table) {
+	if b.set() {
+		tab.AdvanceEpoch()
 	}
 }
 
-func (pr *PR) beginWindow() {
-	if pr.budget > 0 || pr.budgetBytes > 0 {
-		pr.reasoners[0].tab.AdvanceEpoch()
-	}
-}
+func (r *R) beginWindow() { r.cfg.budget().beginWindow(r.tab) }
 
-// maybeRotate rotates the table after a window when the budget is exceeded.
-// Rotation failures (a shared default table, concurrent misuse) disable
-// nothing: the reasoner keeps running correctly, merely without eviction.
+// endWindow applies the budget after a window: when the table is over it,
+// rotate keeping the live state of rs (every reasoner on the table) plus
+// the answers about to be returned. Rotation failures (a shared default
+// table, concurrent misuse) disable nothing: the reasoners keep running
+// correctly, merely without eviction. It reports whether the table rotated.
 //
-// The answer sets being returned are remapped, so their IDs stay valid
-// until the NEXT window's rotation. Sets a caller retains across windows
-// cannot be remapped (the reasoner no longer tracks them), so budgeted
-// windows additionally materialize their answers eagerly: the textual
-// atoms, keys, and key-based operations of retained sets remain valid
-// forever; only their raw IDs go stale.
-func (r *R) maybeRotate(out *Output) {
-	if !r.cfg.budgeted() {
-		return
+// The returned answer sets are remapped, so their IDs stay valid until the
+// NEXT window's rotation. Sets a caller retains across windows cannot be
+// remapped (nothing tracks them any more), so budgeted windows additionally
+// materialize their answers eagerly: the textual atoms, keys, and key-based
+// operations of retained sets remain valid forever; only their raw IDs go
+// stale.
+func (b budget) endWindow(tab *intern.Table, rs []*R, answers []*solve.AnswerSet) bool {
+	if !b.set() {
+		return false
 	}
-	if overBudget(r.tab, r.cfg.MemoryBudget, r.cfg.MemoryBudgetBytes) {
-		_ = r.rotateWith(out.Answers)
-	}
-	materializeAnswers(out.Answers)
-}
-
-func (pr *PR) maybeRotate(out *Output) {
-	if pr.budget <= 0 && pr.budgetBytes <= 0 {
-		return
-	}
-	if overBudget(pr.reasoners[0].tab, pr.budget, pr.budgetBytes) {
-		_ = pr.rotateWith(out.Answers)
-	}
-	materializeAnswers(out.Answers)
+	rotated := b.overBudget(tab) && rotate(tab, rs, answers) == nil
+	materializeAnswers(answers)
+	return rotated
 }
 
 // materializeAnswers forces the lazy atom/key rendering of the answer sets
@@ -123,43 +122,28 @@ func materializeAnswers(answers []*solve.AnswerSet) {
 // refused.
 func (r *R) Rotate() error {
 	r.tab.AdvanceEpoch()
-	return r.rotateWith(nil)
+	return rotate(r.tab, []*R{r}, nil)
 }
 
 // Rotate is the manual rotation hook of the parallel reasoner; see R.Rotate.
 // It must not run concurrently with Process/ProcessDelta.
-func (pr *PR) Rotate() error {
-	pr.reasoners[0].tab.AdvanceEpoch()
-	return pr.rotateWith(nil)
-}
+func (pr *PR) Rotate() error { return pr.g.rotateNow() }
 
-// rotateWith rotates the table keeping the reasoner's live state plus the
-// given answer sets, then remaps everything, answers included.
-func (r *R) rotateWith(answers []*solve.AnswerSet) error {
-	live := r.appendLive(r.liveBuf[:0])
-	live = appendAnswerIDs(live, answers, r.tab)
-	rm, err := r.tab.Rotate(live)
-	r.liveBuf = live[:0]
-	if err != nil {
-		return err
-	}
-	r.applyRemap(rm)
-	return remapAnswers(answers, rm, r.tab)
-}
-
-func (pr *PR) rotateWith(answers []*solve.AnswerSet) error {
-	tab := pr.reasoners[0].tab
-	live := pr.liveBuf[:0]
-	for _, r := range pr.reasoners {
+// rotate compacts tab to the live state of the reasoners rs that share it
+// plus the given answer sets, then remaps all of them. rs[0]'s scratch
+// buffer collects the live IDs.
+func rotate(tab *intern.Table, rs []*R, answers []*solve.AnswerSet) error {
+	live := rs[0].liveBuf[:0]
+	for _, r := range rs {
 		live = r.appendLive(live)
 	}
 	live = appendAnswerIDs(live, answers, tab)
 	rm, err := tab.Rotate(live)
-	pr.liveBuf = live[:0]
+	rs[0].liveBuf = live[:0]
 	if err != nil {
 		return err
 	}
-	for _, r := range pr.reasoners {
+	for _, r := range rs {
 		r.applyRemap(rm)
 	}
 	return remapAnswers(answers, rm, tab)

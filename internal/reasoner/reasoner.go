@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"streamrule/internal/asp/ast"
@@ -61,9 +59,6 @@ type Config struct {
 	// semantics. 0 disables the byte bound.
 	MemoryBudgetBytes int64
 }
-
-// budgeted reports whether any memory bound is configured.
-func (c *Config) budgeted() bool { return c.MemoryBudget > 0 || c.MemoryBudgetBytes > 0 }
 
 // Latency breaks the processing time of one window into the phases the
 // paper discusses. For PR, Convert/Ground/Solve are the maxima across the
@@ -162,7 +157,7 @@ type R struct {
 	retSet     []intern.AtomID
 
 	// liveBuf is the reusable scratch for collecting live IDs at rotation
-	// time (memory.go).
+	// time; a group's rotation uses its first copy's (memory.go).
 	liveBuf []intern.AtomID
 
 	// carry holds solver state that survives across windows when the CDNL
@@ -190,7 +185,7 @@ func NewR(cfg Config) (*R, error) {
 			return nil, err
 		}
 	}
-	if cfg.budgeted() && cfg.GroundOpts.Intern == nil {
+	if cfg.budget().set() && cfg.GroundOpts.Intern == nil {
 		// A budgeted reasoner rotates its table, which invalidates interned
 		// IDs; it must own the table rather than share the process-wide
 		// default with unsuspecting components.
@@ -478,7 +473,7 @@ func (r *R) solveAndFilter(out *Output, gp *ground.Program, start time.Time) (*O
 	}
 	// Budget-triggered table rotation is part of the window's cost, so it
 	// lands inside Total/CriticalPath.
-	r.maybeRotate(out)
+	r.cfg.budget().endWindow(r.tab, []*R{r}, out.Answers)
 	out.Latency.Total = time.Since(start)
 	out.Latency.CriticalPath = out.Latency.Total
 	return out, nil
@@ -511,34 +506,15 @@ func (r *R) filter(m *solve.AnswerSet) *solve.AnswerSet {
 // PR is the parallel reasoner of the extended StreamRule framework: a
 // partitioning handler, k copies of the reasoner, and a combining handler.
 type PR struct {
-	part      Partitioner
-	reasoners []*R
-	// MaxCombinations caps the cross-product of per-partition answer sets
-	// combined by the combining handler (0 means DefaultMaxCombinations).
-	MaxCombinations int
-	// Sequential runs the partition reasoners one after another instead of
-	// in parallel goroutines. NewPR enables it automatically when the host
-	// has fewer available cores than partitions: interleaved goroutines on
-	// an oversubscribed host would inflate every per-partition measurement,
-	// whereas sequential execution yields honest isolated timings from
-	// which Latency.CriticalPath reconstructs the k-core parallel latency.
-	Sequential bool
-
-	// budget is the PR-level MemoryBudget: all partition reasoners share one
-	// interning table, so rotation must be coordinated here, after every
-	// partition has quiesced (memory.go). The per-partition reasoners run
-	// with budget 0. budgetBytes is the byte-based counterpart
-	// (Config.MemoryBudgetBytes).
-	budget      int
-	budgetBytes int64
-	liveBuf     []intern.AtomID
+	part Partitioner
+	g    *group
 }
 
 // DefaultMaxCombinations bounds the answer-set cross product.
 const DefaultMaxCombinations = 64
 
 // NumPartitions returns the number of reasoner copies (= partitions).
-func (pr *PR) NumPartitions() int { return len(pr.reasoners) }
+func (pr *PR) NumPartitions() int { return len(pr.g.rs) }
 
 // NewPR builds a parallel reasoner with one reasoner copy per partition.
 func NewPR(cfg Config, part Partitioner) (*PR, error) {
@@ -549,31 +525,18 @@ func NewPR(cfg Config, part Partitioner) (*PR, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("reasoner: partitioner yields %d partitions", n)
 	}
-	pr := &PR{part: part, Sequential: runtime.GOMAXPROCS(0) < n, budget: cfg.MemoryBudget, budgetBytes: cfg.MemoryBudgetBytes}
-	if cfg.budgeted() {
-		if cfg.GroundOpts.Intern == nil {
-			cfg.GroundOpts.Intern = intern.NewTable()
-		}
-		// Partition reasoners share the table; rotation is coordinated at
-		// the PR level between windows, never by a single partition.
-		cfg.MemoryBudget = 0
-		cfg.MemoryBudgetBytes = 0
+	g, err := newGroup(cfg, n)
+	if err != nil {
+		return nil, err
 	}
-	for i := 0; i < n; i++ {
-		r, err := NewR(cfg)
-		if err != nil {
-			return nil, err
-		}
-		pr.reasoners = append(pr.reasoners, r)
-	}
-	return pr, nil
+	return &PR{part: part, g: g}, nil
 }
 
 // Process partitions the window, reasons over the partitions in parallel,
 // and combines the per-partition answer sets. Each partition is grounded
 // from scratch.
 func (pr *PR) Process(window []rdf.Triple) (*Output, error) {
-	return pr.process(window, (*R).Process)
+	return pr.process(window, scratchStep)
 }
 
 // ProcessDelta is the incremental Process for overlapping windows: each
@@ -586,97 +549,41 @@ func (pr *PR) ProcessDelta(window []rdf.Triple, d *Delta) (*Output, error) {
 	if d == nil {
 		return pr.Process(window)
 	}
-	return pr.process(window, (*R).ProcessAuto)
+	return pr.process(window, autoStep)
 }
 
-func (pr *PR) process(window []rdf.Triple, processPart func(*R, []rdf.Triple) (*Output, error)) (*Output, error) {
+func (pr *PR) process(window []rdf.Triple, fn step) (*Output, error) {
 	start := time.Now()
-	pr.beginWindow()
-	out := &Output{}
-
+	pr.g.beginWindow()
 	t0 := time.Now()
 	parts, skipped := pr.part.Partition(window)
-	out.Skipped = skipped
-	out.Latency.Partition = time.Since(t0)
-	for _, p := range parts {
-		out.PartitionSizes = append(out.PartitionSizes, len(p))
-		out.RoutedItems += len(p)
+	partition := time.Since(t0)
+	outs, err := pr.g.run(parts, nil, fn)
+	if err != nil {
+		return nil, err
 	}
-
-	results := make([]*Output, len(parts))
-	errs := make([]error, len(parts))
-	if pr.Sequential {
-		for i := range parts {
-			results[i], errs[i] = processPart(pr.reasoners[i], parts[i])
-		}
-	} else {
-		var wg sync.WaitGroup
-		for i := range parts {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				results[i], errs[i] = processPart(pr.reasoners[i], parts[i])
-			}(i)
-		}
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	out.Incremental = len(results) > 0
-	// The aggregate is on the fast path only when every partition was.
-	out.SolveStats.FastPath = len(results) > 0
-	var maxTotal time.Duration
-	for _, res := range results {
-		if !res.Incremental {
-			out.Incremental = false
-		}
-		if !res.SolveStats.FastPath {
-			out.SolveStats.FastPath = false
-		}
-		if res.Latency.Total > maxTotal {
-			maxTotal = res.Latency.Total
-		}
-		if res.Latency.Convert > out.Latency.Convert {
-			out.Latency.Convert = res.Latency.Convert
-		}
-		if res.Latency.Ground > out.Latency.Ground {
-			out.Latency.Ground = res.Latency.Ground
-		}
-		if res.Latency.Solve > out.Latency.Solve {
-			out.Latency.Solve = res.Latency.Solve
-		}
-		out.GroundStats.Atoms += res.GroundStats.Atoms
-		out.GroundStats.Rules += res.GroundStats.Rules
-		out.GroundStats.CertainFacts += res.GroundStats.CertainFacts
-		out.GroundStats.Iterations += res.GroundStats.Iterations
-		out.SolveStats.Add(res.SolveStats)
-	}
-
-	t0 = time.Now()
-	max := pr.MaxCombinations
-	if max <= 0 {
-		max = DefaultMaxCombinations
-	}
-	perPartition := make([][]*solve.AnswerSet, len(results))
-	for i, res := range results {
-		perPartition[i] = res.Answers
-	}
-	out.Answers = Combine(perPartition, max)
-	out.Latency.Combine = time.Since(t0)
+	out := merge(outs)
+	out.route(parts, skipped, partition)
 
 	// Coordinated table rotation: all partitions have quiesced, so the
 	// shared table can be compacted and every reasoner remapped. Charged to
 	// Combine's side of the critical path (it runs on the combining host).
 	t0 = time.Now()
-	pr.maybeRotate(out)
-	rotate := time.Since(t0)
-
+	pr.g.endWindow(out.Answers)
+	out.Latency.CriticalPath = out.Latency.Partition + out.Latency.Total + time.Since(t0)
 	out.Latency.Total = time.Since(start)
-	out.Latency.CriticalPath = out.Latency.Partition + maxTotal + out.Latency.Combine + rotate
 	return out, nil
+}
+
+// route records the partitioning handler's share of a window: its skipped
+// items and latency, and the sizes of the sub-windows it routed.
+func (o *Output) route(parts [][]rdf.Triple, skipped int, lat time.Duration) {
+	o.Skipped = skipped
+	o.Latency.Partition = lat
+	for _, p := range parts {
+		o.PartitionSizes = append(o.PartitionSizes, len(p))
+		o.RoutedItems += len(p)
+	}
 }
 
 // Combine implements the combining handler (§III):

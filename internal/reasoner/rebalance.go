@@ -395,11 +395,11 @@ func (rb *rebalancer) refinedPlanCandidate(dpr *DPR, ap *AdaptivePartitioner) (*
 	if next > rb.opts.maxRefineResolution() {
 		return nil, ""
 	}
-	an, err := core.Analyze(dpr.cfg.Program, dpr.cfg.Inpre, next)
+	an, err := core.Analyze(dpr.local.cfg.Program, dpr.local.cfg.Inpre, next)
 	if err != nil || an.Plan.NumPartitions() <= ap.plan.NumPartitions() {
 		return nil, ""
 	}
-	keys := atomdep.Analyze(dpr.cfg.Program, an.Plan)
+	keys := atomdep.Analyze(dpr.local.cfg.Program, an.Plan)
 	return NewAdaptivePartitioner(an.Plan, keys, ap.arities),
 		fmt.Sprintf("refined plan to resolution %g (%d communities)", next, an.Plan.NumPartitions())
 }

@@ -1,5 +1,6 @@
 // Worker side of the distributed reasoner: a transport.Handler that builds
-// one reasoner R per session partition and answers windows in wire form.
+// one group of reasoners per session (one R per hosted partition) and
+// answers windows in wire form.
 // Requests arrive as dictionary-coded deltas (protocol v2): the session
 // mirrors the coordinator's request dictionary, reconstructs each
 // partition's sub-window from its delta, reasons over the partitions in
@@ -9,8 +10,6 @@ package reasoner
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
 	"streamrule/internal/asp/ground"
 	"streamrule/internal/asp/intern"
@@ -45,40 +44,28 @@ func (h *WorkerHandler) NewSession(hello *transport.Hello) (transport.Session, e
 		Inpre:             hello.Inpre,
 		OutputPreds:       hello.OutputPreds,
 		IncludeInputFacts: hello.IncludeInputFacts,
+		SolveOpts:         solve.Options{MaxModels: hello.MaxModels, NaivePropagation: hello.NaivePropagation, CDNL: hello.CDNL},
+		// The session's partition reasoners are one group on a private
+		// table: sessions come and go with their coordinators, and their
+		// vocabulary must not accrete in the process-wide default table.
+		GroundOpts:        ground.Options{MaxAtoms: hello.MaxAtoms, Intern: intern.NewTable()},
+		MemoryBudget:      hello.MemoryBudget,
+		MemoryBudgetBytes: hello.MemoryBudgetBytes,
 	}
 	if len(hello.Arities) > 0 {
 		cfg.Arities = dfp.Arities(hello.Arities)
 	}
-	cfg.SolveOpts = solve.Options{MaxModels: hello.MaxModels, NaivePropagation: hello.NaivePropagation, CDNL: hello.CDNL}
-	cfg.GroundOpts = ground.Options{MaxAtoms: hello.MaxAtoms}
-	// The session owns a private table shared by its partition reasoners:
-	// sessions come and go with their coordinators, and their vocabulary
-	// must not accrete in the process-wide default table. Budget rotation is
-	// coordinated at session level (the PR pattern: all partitions share the
-	// table, so rotation runs only after all have quiesced), so the per-R
-	// budget stays zero.
-	cfg.GroundOpts.Intern = intern.NewTable()
-	n := hello.Partitions
-	if n < 1 {
-		n = 1
+	n := max(hello.Partitions, 1)
+	g, err := newGroup(cfg, n)
+	if err != nil {
+		return nil, err
 	}
-	s := &workerSession{
-		tab:         cfg.GroundOpts.Intern,
-		enc:         intern.NewWireEncoder(),
-		reqDec:      intern.NewWireDecoder(nil),
-		budget:      hello.MemoryBudget,
-		budgetBytes: hello.MemoryBudgetBytes,
-		maxComb:     hello.MaxCombinations,
-		wins:        make([]partWindow, n),
-	}
-	for i := 0; i < n; i++ {
-		r, err := NewR(cfg)
-		if err != nil {
-			return nil, err
-		}
-		s.rs = append(s.rs, r)
-	}
-	return s, nil
+	return &workerSession{
+		g:      g,
+		enc:    intern.NewWireEncoder(),
+		reqDec: intern.NewWireDecoder(nil),
+		wins:   make([]partWindow, n),
+	}, nil
 }
 
 // partWindow is one partition's maintained sub-window: the triples in
@@ -88,20 +75,15 @@ type partWindow struct {
 	counts map[rdf.Triple]int
 }
 
-// workerSession is one live session: k partition reasoners on a shared
+// workerSession is one live session: a group of partition reasoners on a
 // private table, the response-side wire encoder, the request-side wire
 // decoder, and the maintained sub-windows the request deltas apply to. The
 // transport serves sessions sequentially, so no locking is needed.
 type workerSession struct {
-	rs          []*R
-	tab         *intern.Table
-	enc         *intern.WireEncoder
-	reqDec      *intern.WireDecoder
-	budget      int
-	budgetBytes int64
-	maxComb     int
-	wins        []partWindow
-	liveBuf     []intern.AtomID
+	g      *group
+	enc    *intern.WireEncoder
+	reqDec *intern.WireDecoder
+	wins   []partWindow
 }
 
 // desyncResp builds the teardown response for a request the session cannot
@@ -202,138 +184,77 @@ func (s *workerSession) decodeTriples(words []uint64) ([]rdf.Triple, error) {
 	return out, nil
 }
 
-// Window implements transport.Session: apply the request delta, process
-// every partition in parallel with the full engine (incremental unless the
-// coordinator forces from-scratch), combine the partitions' answers, and
-// re-key them into portable wire form.
+// Window implements transport.Session: apply the request deltas, process
+// every partition with the full engine (incremental unless the coordinator
+// forces from-scratch), combine the partitions' answers, re-key them into
+// portable wire form, and rotate under the session budget.
 func (s *workerSession) Window(req *transport.WindowReq) *transport.WindowResp {
-	if s.budget > 0 || s.budgetBytes > 0 {
-		s.tab.AdvanceEpoch()
-	}
+	s.g.beginWindow()
 	if err := s.reqDec.Apply(&req.Dict); err != nil {
 		return desyncResp(req.Seq, err)
 	}
-	if len(req.Parts) != len(s.rs) {
-		return desyncResp(req.Seq, fmt.Errorf("request carries %d partitions, session hosts %d", len(req.Parts), len(s.rs)))
+	if len(req.Parts) != len(s.wins) {
+		return desyncResp(req.Seq, fmt.Errorf("request carries %d partitions, session hosts %d", len(req.Parts), len(s.wins)))
 	}
 	deltas := make([]*Delta, len(req.Parts))
+	parts := make([][]rdf.Triple, len(req.Parts))
 	for i := range req.Parts {
 		d, err := s.applyPart(i, &req.Parts[i])
 		if err != nil {
 			return desyncResp(req.Seq, fmt.Errorf("partition %d: %w", i, err))
 		}
-		deltas[i] = d
+		deltas[i], parts[i] = d, s.wins[i].cur
 	}
 
-	resp := &transport.WindowResp{Seq: req.Seq}
-	outs := make([]*Output, len(s.rs))
-	errs := make([]error, len(s.rs))
-	var wg sync.WaitGroup
-	for i := range s.rs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			switch {
-			case req.Scratch:
-				outs[i], errs[i] = s.rs[i].Process(s.wins[i].cur)
-			case deltas[i] != nil:
-				outs[i], errs[i] = s.rs[i].ProcessDelta(s.wins[i].cur, deltas[i])
-			default:
-				// Full non-scratch window: self-diff against the maintained
-				// grounding (seeds it on a session's first window).
-				outs[i], errs[i] = s.rs[i].ProcessAuto(s.wins[i].cur)
-			}
-		}(i)
+	outs, err := s.g.run(parts, nil, func(r *R, part []rdf.Triple, i int) (*Output, error) {
+		switch {
+		case req.Scratch:
+			return r.Process(part)
+		case deltas[i] != nil:
+			return r.ProcessDelta(part, deltas[i])
+		}
+		// Full non-scratch window: self-diff against the maintained
+		// grounding (seeds it on a session's first window).
+		return r.ProcessAuto(part)
+	})
+	if err != nil {
+		return &transport.WindowResp{Seq: req.Seq, Err: err.Error()}
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			resp.Err = err.Error()
-			return resp
-		}
-	}
-
-	// Aggregate exactly like PR: latency maxima (the partitions ran in
-	// parallel), work sums, fast-path/incremental ANDs.
-	resp.Incremental = true
-	resp.SolveStats.FastPath = true
-	resp.PartTotalNS = make([]int64, len(outs))
-	resp.PartItems = make([]int, len(outs))
-	for i, out := range outs {
-		resp.PartTotalNS[i] = out.Latency.Total.Nanoseconds()
-		resp.PartItems[i] = len(s.wins[i].cur)
-	}
-	for _, out := range outs {
-		if !out.Incremental {
-			resp.Incremental = false
-		}
-		if !out.SolveStats.FastPath {
-			resp.SolveStats.FastPath = false
-		}
-		resp.SolveStats.Add(out.SolveStats)
-		if ns := out.Latency.Convert.Nanoseconds(); ns > resp.ConvertNS {
-			resp.ConvertNS = ns
-		}
-		if ns := out.Latency.Ground.Nanoseconds(); ns > resp.GroundNS {
-			resp.GroundNS = ns
-		}
-		if ns := out.Latency.Solve.Nanoseconds(); ns > resp.SolveNS {
-			resp.SolveNS = ns
-		}
-		if ns := out.Latency.Total.Nanoseconds(); ns > resp.TotalNS {
-			resp.TotalNS = ns
-		}
-		resp.GroundStats.Atoms += out.GroundStats.Atoms
-		resp.GroundStats.Rules += out.GroundStats.Rules
-		resp.GroundStats.CertainFacts += out.GroundStats.CertainFacts
-		resp.GroundStats.Iterations += out.GroundStats.Iterations
-		resp.Skipped += out.Skipped
-	}
-
 	// Worker-side combine: one answer stream per window regardless of how
 	// many partitions the session hosts (unions are associative, so the
 	// coordinator's combine across workers completes the cross product).
-	t0 := time.Now()
-	max := s.maxComb
-	if max <= 0 {
-		max = DefaultMaxCombinations
+	m := merge(outs)
+	resp := &transport.WindowResp{
+		Seq:         req.Seq,
+		Incremental: m.Incremental,
+		GroundStats: m.GroundStats,
+		SolveStats:  m.SolveStats,
+		Skipped:     m.Skipped,
+		ConvertNS:   m.Latency.Convert.Nanoseconds(),
+		GroundNS:    m.Latency.Ground.Nanoseconds(),
+		SolveNS:     m.Latency.Solve.Nanoseconds(),
+		CombineNS:   m.Latency.Combine.Nanoseconds(),
+		TotalNS:     m.Latency.Total.Nanoseconds(),
+		PartTotalNS: make([]int64, len(outs)),
+		PartItems:   make([]int, len(outs)),
 	}
-	perPartition := make([][]*solve.AnswerSet, len(outs))
 	for i, out := range outs {
-		perPartition[i] = out.Answers
+		resp.PartTotalNS[i] = out.Latency.Total.Nanoseconds()
+		resp.PartItems[i] = len(parts[i])
 	}
-	combined := Combine(perPartition, max)
-	resp.CombineNS = time.Since(t0).Nanoseconds()
-	resp.TotalNS += resp.CombineNS
-
-	s.enc.Begin(s.tab)
-	answers := make([]intern.WireSet, 0, len(combined))
-	for _, a := range combined {
-		answers = append(answers, s.enc.AppendSet(s.tab, a.IDs(), nil))
+	s.enc.Begin(s.g.tab)
+	resp.Answers = make([]intern.WireSet, 0, len(m.Answers))
+	for _, a := range m.Answers {
+		resp.Answers = append(resp.Answers, s.enc.AppendSet(s.g.tab, a.IDs(), nil))
 	}
-	resp.Answers = answers
 	resp.Dict = s.enc.Flush()
 
-	// Session-coordinated budget rotation, after the answers left through
-	// the encoder (the response no longer references table IDs): keep the
-	// partitions' grounder state, drop everything else. The encoder's ID
-	// caches invalidate themselves on the next Begin (the content-keyed
-	// dictionary survives, nothing is re-shipped).
-	if (s.budget > 0 && s.tab.NumAtoms() > s.budget) ||
-		(s.budgetBytes > 0 && s.tab.ApproxBytes() > s.budgetBytes) {
-		live := s.liveBuf[:0]
-		for _, r := range s.rs {
-			live = r.appendLive(live)
-		}
-		rm, err := s.tab.Rotate(live)
-		s.liveBuf = live[:0]
-		if err == nil {
-			for _, r := range s.rs {
-				r.applyRemap(rm)
-			}
-		}
-	}
-	ts := s.tab.Stats()
+	// Budget rotation after the answers left through the encoder (the
+	// response no longer references table IDs, so none are kept live). The
+	// encoder's ID caches invalidate themselves on the next Begin (the
+	// content-keyed dictionary survives, nothing is re-shipped).
+	s.g.endWindow(nil)
+	ts := s.g.tab.Stats()
 	resp.LiveAtoms = ts.Atoms
 	resp.Rotations = ts.Rotations
 	return resp

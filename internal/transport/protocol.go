@@ -22,6 +22,10 @@ import (
 // gob decoder sees a byte) and protocol-level heartbeats (WindowReq.Ping —
 // the coordinator probes idle sessions between windows, detecting dead
 // workers at ping cost instead of a full straggler deadline).
+// Within version 5, Hello.MaxCombinations was dropped: no coordinator ever
+// set it, so it always carried 0 (the reasoner default, which workers now
+// apply unconditionally). gob ignores absent fields in both directions, so
+// older and newer peers still interoperate.
 const ProtocolVersion = 5
 
 // Hello opens a session: it carries everything the worker needs to build a
@@ -66,9 +70,6 @@ type Hello struct {
 	// partition, and the worker combines the partitions' answers before
 	// responding — one combined wire set stream per window.
 	Partitions int
-	// MaxCombinations caps the worker-side answer-set cross product (0 =
-	// the reasoner default), matching the coordinator's combine cap.
-	MaxCombinations int
 }
 
 // HelloAck answers a Hello. An empty Err accepts the session.
